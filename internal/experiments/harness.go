@@ -168,11 +168,11 @@ type Grid struct {
 	// An attempt over budget fails with local.ErrDeadline — a transient
 	// failure, so Retries applies.
 	TrialTimeout time.Duration
-	// Retries re-runs a cell whose failure is transient — a deadline expiry
-	// or a node-program panic — up to this many extra attempts (0 = fail
-	// fast). Deterministic failures (build errors, solver rejections,
-	// invalid splittings) are never retried, and neither is a fired grid
-	// Control.
+	// Retries re-runs a cell whose failure is transient — a deadline
+	// expiry — up to this many extra attempts (0 = fail fast).
+	// Deterministic failures (build errors, solver rejections, invalid
+	// splittings, node-program panics) are never retried, and neither is a
+	// fired grid Control.
 	Retries int
 	// RetryBackoff, when positive, sleeps RetryBackoff<<k before retry k —
 	// bounded exponential backoff for load-induced deadline expiries.
@@ -302,8 +302,8 @@ func runBatchGroup(gs GraphSpec, as AlgoSpec, seeds []uint64, b *graph.Bipartite
 // runCell runs one (graph, algorithm, seed) cell under the grid's control,
 // per-attempt timeout, and retry policy. A fired grid control ends the cell
 // immediately — before the first attempt or instead of a retry — with the
-// cancellation error; transient failures (deadline expiry, node-program
-// panic) are re-attempted up to Retries times with bounded backoff.
+// cancellation error; transient failures (deadline expiries) are
+// re-attempted up to Retries times with bounded backoff.
 func (g Grid) runCell(gs GraphSpec, as AlgoSpec, seed uint64, eng local.Engine) TrialResult {
 	for attempt := 0; ; attempt++ {
 		if cerr := g.Control.Err(); cerr != nil {
@@ -322,13 +322,13 @@ func (g Grid) runCell(gs GraphSpec, as AlgoSpec, seed uint64, eng local.Engine) 
 	}
 }
 
-// transientTrialErr reports whether a cell failure is worth retrying: a
-// deadline expiry (load-induced, the next attempt gets a fresh budget) or a
-// node-program panic. Deterministic failures — build errors, solver
-// rejections, invalid splittings — would only fail the same way again.
+// transientTrialErr reports whether a cell failure is worth retrying: only
+// a deadline expiry is (load-induced, the next attempt gets a fresh
+// budget). Everything else — build errors, solver rejections, invalid
+// splittings, and node-program panics, which recur identically under
+// seeded execution — would only fail the same way again.
 func transientTrialErr(err error) bool {
-	var pe *local.PanicError
-	return errors.Is(err, local.ErrDeadline) || errors.As(err, &pe)
+	return errors.Is(err, local.ErrDeadline)
 }
 
 // attemptEngine wraps the grid engine with one attempt's control context —

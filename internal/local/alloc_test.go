@@ -160,9 +160,7 @@ func TestBitPathZeroAllocsPerRound(t *testing.T) {
 
 // castEchoFactory is castTail with a uniform stop round: every node runs
 // the full budget, so the marginal-allocation measurement below sees a
-// steady state that rides the fused CastB scatter (and, on the pool
-// engine, tiled blocks — the 300-node fixture's weight fits the default
-// tile budget, so the whole graph executes as one tile).
+// steady state that rides the fused CastB scatter.
 func castEchoFactory(rounds int, out []uint64) local.Factory {
 	idx := 0
 	return func(v local.View) local.Node {
@@ -172,15 +170,11 @@ func castEchoFactory(rounds int, out []uint64) local.Factory {
 	}
 }
 
-// TestFusedTiledZeroAllocsPerRound extends the bit-plane pin to the new
-// fast paths: a BitBroadcaster program with prefetch, fusion and tiling
-// active (the defaults) must still allocate nothing per steady-state round
-// on the sequential, pool and batch paths. The tiled pool path's only
-// allocations — the tiler's scratch and the per-worker retirement buffer —
-// are one-time and cancel in the marginal measurement by design; a
-// per-block or per-tile allocation would show up as ≥ 1 alloc per 4 rounds
-// and trip the slack immediately.
-func TestFusedTiledZeroAllocsPerRound(t *testing.T) {
+// TestFusedZeroAllocsPerRound extends the bit-plane pin to the fused fast
+// path: a BitBroadcaster program with the prefetched, fused scatter must
+// still allocate nothing per steady-state round on the sequential, pool
+// and batch paths.
+func TestFusedZeroAllocsPerRound(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are inflated by the race detector")
 	}
@@ -202,15 +196,6 @@ func TestFusedTiledZeroAllocsPerRound(t *testing.T) {
 		{"pool", func(rounds int) {
 			out := make([]uint64, n)
 			if _, err := (local.WorkerPoolEngine{Workers: 3}).Run(topo, castEchoFactory(rounds, out), local.Options{Source: prob.NewSource(3)}); err != nil {
-				t.Fatal(err)
-			}
-		}},
-		{"pool-tiny-tiles", func(rounds int) {
-			// Tiny budget: many tiles (or the R=1 fallback) per block, so a
-			// hidden per-tile allocation cannot hide behind one big tile.
-			e := local.ForceTuning(local.WorkerPoolEngine{Workers: 3}, local.Tuning{TileRounds: 2, TileBudget: 64})
-			out := make([]uint64, n)
-			if _, err := e.Run(topo, castEchoFactory(rounds, out), local.Options{Source: prob.NewSource(3)}); err != nil {
 				t.Fatal(err)
 			}
 		}},

@@ -98,18 +98,17 @@ type batchTrial struct {
 	// in either direction, the previous bounds are reused as-is.
 	carvedRemaining int
 	carvedUnit      int64
-	pf              int              // scatter look-ahead window (see Tuning)
 	wholesale       bool             // bit trial: coordinator memclrs the consumed region this round
 	bdead           deadDeliver      // bit trial: delivery-table view with dead arcs marked
 	bdeliver        []int32          // bit trial: bdead.table(), refreshed between rounds
-	bcasters        []BitBroadcaster // bit trial: per-node fused broadcast paths (nil when unfused)
-	faults    *faultState // nil when the trial injects no faults
-	ctl       *RunControl // nil when the trial is uncontrolled
-	maxRounds int
-	base      int // plane offset of this trial in the boxed/word planes: idx × arcs
-	stats     Stats
-	errNode   int // node index of the first per-round error, -1 if none
-	err       error
+	bcasters        []BitBroadcaster // bit trial: per-node fused broadcast paths (nil when no node fuses)
+	faults          *faultState      // nil when the trial injects no faults
+	ctl             *RunControl      // nil when the trial is uncontrolled
+	maxRounds       int
+	base            int // plane offset of this trial in the boxed/word planes: idx × arcs
+	stats           Stats
+	errNode         int // node index of the first per-round error, -1 if none
+	err             error
 }
 
 // batchPlanes bundles the double-buffered plane pairs of one batch run, one
@@ -231,12 +230,7 @@ func BatchRun(t *Topology, trials []Trial, opts BatchOptions) ([]Stats, []error)
 		if tr.bnodes != nil {
 			tr.bdead = deadDeliver{t: t}
 			tr.bdeliver = t.deliver
-			if !opts.Tune.NoFuse {
-				tr.bcasters = asBitCasters(tr.bnodes)
-			}
-			tr.pf = opts.Tune.prefetchBit()
-		} else {
-			tr.pf = opts.Tune.prefetchScalar()
+			tr.bcasters = asBitCasters(tr.bnodes)
 		}
 		tr.carvedRemaining = -1
 		if tr.faults, perr = newFaultState(t, opts.Faults); perr != nil {
@@ -643,7 +637,7 @@ func runBatchUnit(t *Topology, pl *batchPlanes, wsend []Word, bsend BitRow, u *b
 				u.errNode = v
 				break
 			}
-			msgs += t.deliverBoxed(next, tr.dead, tr.base, int32(lo), send, tr.pf)
+			msgs += t.deliverBoxed(next, tr.dead, tr.base, int32(lo), send)
 		}
 		for p := range recv {
 			recv[p] = nil
@@ -680,7 +674,7 @@ func runBatchUnitWord(t *Topology, inbox, next, wsend []Word, u *batchUnit) {
 		if tr.wnodes[v].RoundW(u.r, recv, send) {
 			tr.done[v] = true
 		}
-		msgs += t.deliverWords(next, tr.dead, tr.base, int32(lo), send, tr.pf)
+		msgs += t.deliverWords(next, tr.dead, tr.base, int32(lo), send)
 		for p := range recv {
 			recv[p] = NilWord
 		}
@@ -712,9 +706,7 @@ func runBatchUnitBit(t *Topology, pl *batchPlanes, bsend BitRow, u *batchUnit, p
 		v := int(tr.active[i])
 		curV = v
 		lo, hi := t.off[v], t.off[v+1]
-		if tr.pf > 0 {
-			prefetchBitTargets(tr.bdeliver, next, lo, hi, tr.pf)
-		}
+		prefetchBitTargets(tr.bdeliver, next, lo, hi)
 		var fin bool
 		if c := caster(tr.bcasters, v); c != nil {
 			val, cast, cfin := c.CastB(u.r, inbox.row(lo, hi))

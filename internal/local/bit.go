@@ -402,8 +402,8 @@ func asBitNodes(nodes []Node) ([]BitNode, int) {
 // — same state transitions, same done result, for every round. Engines
 // that detect the interface skip the send scratch row entirely and fuse
 // the Broadcast with the scatter into one pass over the node's arc range
-// (see castBitRow); engines that don't (or runs tuned with NoFuse) keep
-// calling RoundB. A program implementing CastB should make RoundB delegate
+// (see castBitRow); GoroutineEngine, the unfused reference, keeps calling
+// RoundB. A program implementing CastB should make RoundB delegate
 // to it so the two paths cannot drift.
 type BitBroadcaster interface {
 	BitNode
@@ -509,14 +509,6 @@ func (pl bitPlane) countRow(lo, hi int32) int64 {
 	return countPatternRange(pl.lanes, int(uint32(lo)*lb), int(uint32(hi)*lb), laneMultiplier(lb))
 }
 
-// countRowAtomic is countRow through atomic loads, for counts taken while
-// another worker may still be delivering into a word shared with the range
-// (the tiled path's in-tile retirement).
-func (pl bitPlane) countRowAtomic(lo, hi int32) int64 {
-	lb := 2 * pl.width
-	return countPatternRangeAtomic(pl.lanes, int(uint32(lo)*lb), int(uint32(hi)*lb), laneMultiplier(lb))
-}
-
 // clearAll zeroes the whole plane (trial retirement in the batch runner).
 func (pl bitPlane) clearAll() { clear(pl.lanes) }
 
@@ -537,16 +529,6 @@ func (d *deadDeliver) table() []int32 {
 		return d.dlv
 	}
 	return d.t.deliver
-}
-
-// materialize forces the copy-on-write now. The tiled path calls it before
-// dispatching tiles so concurrent in-tile kills never race on the first
-// copy; after it, kill writes from different tiles touch disjoint slots
-// (a node's inbox slots are written only from inside its own closed tile).
-func (d *deadDeliver) materialize() {
-	if d.dlv == nil {
-		d.dlv = append([]int32(nil), d.t.deliver...)
-	}
 }
 
 // kill marks every arc pointing at v dead. Called by coordinators between
@@ -656,17 +638,17 @@ func castBitRow(deliver []int32, next bitPlane, arcLo, arcHi int32, v uint64, at
 }
 
 // prefetchBitTargets touches the next-plane words the coming scatter of
-// arcs [lo, hi) will OR into, up to a look-ahead window of pf arcs. The
-// deliver[] indirection makes each scatter store a dependent random access;
-// issuing the loads before the node's RoundB/CastB call lets the misses
-// resolve while the program computes. The loads are atomic — the gc
+// arcs [lo, hi) will OR into, up to prefetchWindow arcs. The deliver[]
+// indirection makes each scatter store a dependent random access; issuing
+// the loads before the node's RoundB/CastB call lets the misses resolve
+// while the program computes. The loads are atomic — the gc
 // compiler never dead-code-eliminates an atomic load, and atomic load vs.
 // the concurrent atomic-OR deliveries is clean under the race detector —
 // and their values are discarded.
 //
 //splitlint:zeroalloc
-func prefetchBitTargets(deliver []int32, next bitPlane, lo, hi int32, pf int) {
-	if h := lo + int32(pf); hi > h {
+func prefetchBitTargets(deliver []int32, next bitPlane, lo, hi int32) {
+	if h := lo + prefetchWindow; hi > h {
 		hi = h
 	}
 	sh := next.width
@@ -728,26 +710,6 @@ func countPatternRange(ws []uint64, lo, hi int, pat uint64) int64 {
 	return int64(c)
 }
 
-// countPatternRangeAtomic is countPatternRange with atomic loads; see
-// bitPlane.countRowAtomic.
-func countPatternRangeAtomic(ws []uint64, lo, hi int, pat uint64) int64 {
-	if lo >= hi {
-		return 0
-	}
-	loW, hiW := lo>>6, (hi-1)>>6
-	head := ^uint64(0) << (lo & 63) & pat
-	tail := ^uint64(0) >> (63 - (hi-1)&63) & pat
-	if loW == hiW {
-		return int64(bits.OnesCount64(atomic.LoadUint64(&ws[loW]) & head & tail))
-	}
-	c := bits.OnesCount64(atomic.LoadUint64(&ws[loW])&head) +
-		bits.OnesCount64(atomic.LoadUint64(&ws[hiW])&tail)
-	for w := loW + 1; w < hiW; w++ {
-		c += bits.OnesCount64(atomic.LoadUint64(&ws[w]) & pat)
-	}
-	return int64(c)
-}
-
 // countBitRange returns the population count of bits [lo, hi) of ws.
 func countBitRange(ws []uint64, lo, hi int) int64 {
 	return countPatternRange(ws, lo, hi, ^uint64(0))
@@ -758,7 +720,7 @@ func countBitRange(ws []uint64, lo, hi int) int64 {
 // consumption — a steady-state round allocates nothing and touches 2–4 bits
 // per arc instead of 64. Delivery, termination and Stats semantics mirror
 // the boxed/word loops exactly.
-func runSeqBit(t *Topology, nodes []BitNode, width, maxRounds int, fs *faultState, ctl *RunControl, tune Tuning) (stats Stats, err error) {
+func runSeqBit(t *Topology, nodes []BitNode, width, maxRounds int, fs *faultState, ctl *RunControl) (stats Stats, err error) {
 	n := t.N()
 	arcs := len(t.adj)
 	inbox := newBitPlane(arcs, width)
@@ -766,11 +728,7 @@ func runSeqBit(t *Topology, nodes []BitNode, width, maxRounds int, fs *faultStat
 	scratch := newBitScratch(t.maxDeg, width)
 	done := make([]bool, n)
 	dead := deadDeliver{t: t}
-	pfw := tune.prefetchBit()
-	var casters []BitBroadcaster
-	if !tune.NoFuse {
-		casters = asBitCasters(nodes)
-	}
+	casters := asBitCasters(nodes)
 	var newlyDone []int32
 	remaining := n
 	weight := int64(n + arcs)
@@ -806,9 +764,7 @@ func runSeqBit(t *Topology, nodes []BitNode, width, maxRounds int, fs *faultStat
 			}
 			curV = v
 			lo, hi := t.off[v], t.off[v+1]
-			if pfw > 0 {
-				prefetchBitTargets(deliver, next, lo, hi, pfw)
-			}
+			prefetchBitTargets(deliver, next, lo, hi)
 			var fin bool
 			if c := caster(casters, v); c != nil {
 				val, cast, cfin := c.CastB(r, inbox.row(lo, hi))
@@ -873,11 +829,10 @@ func clearWholesale(activeWeight int64, n, arcs int) bool {
 // its shared-plane inbox row and clears the consumed row (atomic on
 // boundary words — neighbors' goroutines clear concurrently); the
 // single-threaded coordinator scatters the scratch after the node's result
-// arrives, so deliveries need no atomics. The engine stays unfused and
-// untiled by design — it is the reference schedule the tuned engines are
-// checked against — but shares the scatter-prefetch window.
-func runGoroutineBit(t *Topology, nodes []BitNode, width, maxRounds int, fs *faultState, ctl *RunControl, tune Tuning) (Stats, error) {
-	pfw := tune.prefetchBit()
+// arrives, so deliveries need no atomics. The engine stays unfused by
+// design — it is the reference schedule the fused engines are checked
+// against — but shares the scatter-prefetch window.
+func runGoroutineBit(t *Topology, nodes []BitNode, width, maxRounds int, fs *faultState, ctl *RunControl) (Stats, error) {
 	n := t.N()
 	arcs := len(t.adj)
 	inbox := newBitPlane(arcs, width)
@@ -971,9 +926,7 @@ func runGoroutineBit(t *Topology, nodes []BitNode, width, maxRounds int, fs *fau
 			}
 			// The channel receive orders the scratch row's writes before
 			// this scatter; the coordinator is the only deliverer.
-			if pfw > 0 {
-				prefetchBitTargets(deliver, next, t.off[res.v], t.off[res.v+1], pfw)
-			}
+			prefetchBitTargets(deliver, next, t.off[res.v], t.off[res.v+1])
 			stats.Messages += scatterBitRow(deliver, next, t.off[res.v], scratch[res.v], false)
 		}
 		// Drop undeliverable messages to nodes that terminated this round.

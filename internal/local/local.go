@@ -5,7 +5,7 @@
 // resource; message size and local computation are unbounded.
 //
 // Algorithms are written as per-node state machines (the Node interface).
-// Three engines execute them:
+// Four engines execute them:
 //
 //   - SequentialEngine iterates nodes in a single goroutine. Zero
 //     synchronization overhead; the baseline every other engine must match
@@ -20,6 +20,10 @@
 //     the throughput engine: pick it for large instances and batch
 //     experiments; it beats GoroutineEngine by orders of magnitude at
 //     100k+ nodes (see BenchmarkEngines).
+//   - BatchEngine runs a single-trial batch through BatchRun, the multi-seed
+//     trial runner that executes many trials over one shared topology in a
+//     single pass (see batch.go). Sweeps call BatchRun directly; the engine
+//     adapter lets every engine consumer route through the batch path.
 //
 // All engines are observationally identical: per-node randomness is derived
 // from (seed, node ID) only, never from scheduling, so a program produces
@@ -187,9 +191,6 @@ type Options struct {
 	// at round boundaries and abort with ErrCancelled/ErrDeadline and
 	// partial Stats. nil runs uncontrolled with the hot paths untouched.
 	Control *RunControl
-	// Tune carries the cache-tuning knobs (see Tuning). The zero value is
-	// every default; no knob changes observable behavior, only wall-clock.
-	Tune Tuning
 }
 
 const defaultMaxRounds = 1 << 20
@@ -296,27 +297,32 @@ func planeNodes(nodes []Node, plane Plane) (bs []BitNode, bitWidth int, ws []Wor
 	return
 }
 
+// prefetchWindow is the scatter look-ahead in arcs. The deliver[]
+// indirection makes every scatter store a dependent random access, so a
+// node's scatter first touches up to prefetchWindow of its target slots,
+// letting their cache misses overlap. The bit planes always use this
+// window; the word and boxed planes use scalarPrefetchWindow, which race
+// builds set to zero (see race_on.go).
+const prefetchWindow = 8
+
 // deliverBoxed scatters one node's boxed send row (first arc lo) into
 // next[base:] through the precomputed delivery table, dropping (and not
 // counting) messages to dead nodes; it returns the delivered count. Shared
 // by the sequential, goroutine, pool and batch boxed loops. The send slice
 // is program-owned and left untouched.
 //
-// pf is the scatter look-ahead window (see Tuning): the first pf target
-// slots are touched up front so their cache misses overlap instead of
-// serializing behind the deliver[] indirection. The reads fold into warm,
-// kept alive past the loop so the compiler cannot eliminate them; the
-// values are never used. Race-instrumented builds run with pf == 0 (see
-// Tuning.prefetchScalar).
+// The first scalarPrefetchWindow target slots are touched up front so their
+// cache misses overlap instead of serializing behind the deliver[]
+// indirection. The reads fold into warm, kept alive past the loop so the
+// compiler cannot eliminate them; the values are never used.
 //
 //splitlint:zeroalloc
-func (t *Topology) deliverBoxed(next []Message, dead []bool, base int, lo int32, send []Message, pf int) int64 {
-	if pf > len(send) {
-		pf = len(send)
-	}
+func (t *Topology) deliverBoxed(next []Message, dead []bool, base int, lo int32, send []Message) int64 {
+	hi := lo + int32(len(send))
+	adj, dlv := t.adj[lo:hi], t.deliver[lo:hi]
 	var warm Message
-	for k := 0; k < pf; k++ {
-		if m := next[base+int(t.deliver[lo+int32(k)])]; m != nil {
+	for _, d := range dlv[:min(scalarPrefetchWindow, len(dlv))] {
+		if m := next[base+int(d)]; m != nil {
 			warm = m
 		}
 	}
@@ -324,9 +330,8 @@ func (t *Topology) deliverBoxed(next []Message, dead []bool, base int, lo int32,
 	var msgs int64
 	for p, msg := range send {
 		if msg != nil {
-			arc := lo + int32(p)
-			if !dead[t.adj[arc]] {
-				next[base+int(t.deliver[arc])] = msg
+			if !dead[adj[p]] {
+				next[base+int(dlv[p])] = msg
 				msgs++
 			}
 		}
@@ -338,23 +343,20 @@ func (t *Topology) deliverBoxed(next []Message, dead []bool, base int, lo int32,
 // engine-owned scratch, so it is cleared as it is scattered — after the
 // call it is all-NilWord and ready for the next node. The prefetch touch
 // loads are atomic so the compiler cannot eliminate them (Word's underlying
-// type is uint64, making the pointer conversion legal); race builds run
-// with pf == 0.
+// type is uint64, making the pointer conversion legal).
 //
 //splitlint:zeroalloc
-func (t *Topology) deliverWords(next []Word, dead []bool, base int, lo int32, send []Word, pf int) int64 {
-	if pf > len(send) {
-		pf = len(send)
-	}
-	for k := 0; k < pf; k++ {
-		_ = atomic.LoadUint64((*uint64)(&next[base+int(t.deliver[lo+int32(k)])]))
+func (t *Topology) deliverWords(next []Word, dead []bool, base int, lo int32, send []Word) int64 {
+	hi := lo + int32(len(send))
+	adj, dlv := t.adj[lo:hi], t.deliver[lo:hi]
+	for _, d := range dlv[:min(scalarPrefetchWindow, len(dlv))] {
+		_ = atomic.LoadUint64((*uint64)(&next[base+int(d)]))
 	}
 	var msgs int64
 	for p, msg := range send {
 		if msg != NilWord {
-			arc := lo + int32(p)
-			if !dead[t.adj[arc]] {
-				next[base+int(t.deliver[arc])] = msg
+			if !dead[adj[p]] {
+				next[base+int(dlv[p])] = msg
 				msgs++
 			}
 			send[p] = NilWord
@@ -492,12 +494,11 @@ func (SequentialEngine) Run(t *Topology, f Factory, opts Options) (stats Stats, 
 	}
 	ctl := opts.Control
 	if bs != nil {
-		return runSeqBit(t, bs, bw, maxRounds, fs, ctl, opts.Tune)
+		return runSeqBit(t, bs, bw, maxRounds, fs, ctl)
 	}
 	if ws != nil {
-		return runSeqWord(t, ws, maxRounds, fs, ctl, opts.Tune.prefetchScalar())
+		return runSeqWord(t, ws, maxRounds, fs, ctl)
 	}
-	pfs := opts.Tune.prefetchScalar()
 	// Double-buffered flat message arrays sharing the topology's offsets:
 	// node v's inbox is inbox[off[v]:off[v+1]].
 	arcs := len(t.adj)
@@ -551,7 +552,7 @@ func (SequentialEngine) Run(t *Topology, f Factory, opts Options) (stats Stats, 
 			if len(send) != int(hi-lo) {
 				return stats, fmt.Errorf("local: node %d sent %d messages on %d ports", v, len(send), hi-lo)
 			}
-			stats.Messages += t.deliverBoxed(next, dead, 0, lo, send, pfs)
+			stats.Messages += t.deliverBoxed(next, dead, 0, lo, send)
 		}
 		curV = -1
 		// Messages addressed to nodes that terminated this round will never
@@ -586,7 +587,7 @@ func (SequentialEngine) Run(t *Topology, f Factory, opts Options) (stats Stats, 
 // delivery, termination and Stats semantics mirror the boxed loop exactly
 // (a delivered message is a non-NilWord slot addressed to a non-dead node;
 // messages to nodes that terminated this round are uncounted and dropped).
-func runSeqWord(t *Topology, nodes []WordNode, maxRounds int, fs *faultState, ctl *RunControl, pf int) (stats Stats, err error) {
+func runSeqWord(t *Topology, nodes []WordNode, maxRounds int, fs *faultState, ctl *RunControl) (stats Stats, err error) {
 	n := t.N()
 	arcs := len(t.adj)
 	inbox := make([]Word, arcs)
@@ -630,7 +631,7 @@ func runSeqWord(t *Topology, nodes []WordNode, maxRounds int, fs *faultState, ct
 				newlyDone = append(newlyDone, int32(v))
 				remaining--
 			}
-			stats.Messages += t.deliverWords(next, dead, 0, lo, send, pf)
+			stats.Messages += t.deliverWords(next, dead, 0, lo, send)
 			// Clear the consumed row so that after the swap the new next
 			// rows are already all-NilWord (nothing is re-zeroed wholesale).
 			for p := range recv {
@@ -705,12 +706,11 @@ func (GoroutineEngine) Run(t *Topology, f Factory, opts Options) (Stats, error) 
 	}
 	ctl := opts.Control
 	if bs != nil {
-		return runGoroutineBit(t, bs, bw, maxRounds, fs, ctl, opts.Tune)
+		return runGoroutineBit(t, bs, bw, maxRounds, fs, ctl)
 	}
 	if ws != nil {
-		return runGoroutineWord(t, ws, maxRounds, fs, ctl, opts.Tune.prefetchScalar())
+		return runGoroutineWord(t, ws, maxRounds, fs, ctl)
 	}
-	pfs := opts.Tune.prefetchScalar()
 	start := make([]chan []Message, n)
 	results := make(chan roundResult, n)
 	var wg sync.WaitGroup
@@ -796,7 +796,7 @@ func (GoroutineEngine) Run(t *Topology, f Factory, opts Options) (Stats, error) 
 			if res.send == nil {
 				continue
 			}
-			stats.Messages += t.deliverBoxed(next, dead, 0, t.off[res.v], res.send, pfs)
+			stats.Messages += t.deliverBoxed(next, dead, 0, t.off[res.v], res.send)
 		}
 		// Drop undeliverable messages to nodes that terminated this round.
 		for _, v := range newlyDone {
@@ -844,7 +844,7 @@ type wordRoundResult struct {
 // consumed inbox row, and the coordinator scatters the send row into the
 // next plane after the result arrives (the channel receive orders the
 // row's writes before the scatter).
-func runGoroutineWord(t *Topology, nodes []WordNode, maxRounds int, fs *faultState, ctl *RunControl, pf int) (Stats, error) {
+func runGoroutineWord(t *Topology, nodes []WordNode, maxRounds int, fs *faultState, ctl *RunControl) (Stats, error) {
 	n := t.N()
 	arcs := len(t.adj)
 	inbox := make([]Word, arcs)
@@ -927,7 +927,7 @@ func runGoroutineWord(t *Topology, nodes []WordNode, maxRounds int, fs *faultSta
 				remaining--
 			}
 			lo, hi := t.off[res.v], t.off[res.v+1]
-			stats.Messages += t.deliverWords(next, dead, 0, lo, sendPlane[lo:hi:hi], pf)
+			stats.Messages += t.deliverWords(next, dead, 0, lo, sendPlane[lo:hi:hi])
 		}
 		// Drop undeliverable messages to nodes that terminated this round.
 		for _, v := range newlyDone {

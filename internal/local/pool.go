@@ -41,10 +41,6 @@ type poolWorker struct {
 	msgs    int64
 	err     error
 	errNode int
-	// tileExec is the largest local round count any tile this worker ran
-	// reached during a tiled block (see tile.go); the coordinator takes the
-	// max across workers to advance the global round counter, then resets.
-	tileExec int
 }
 
 // ParseEngine resolves a command-line engine name: "seq" (or "sequential"),
@@ -176,19 +172,18 @@ func (e WorkerPoolEngine) run(t *Topology, f Factory, opts Options) (Stats, []Me
 	}
 	ctl := opts.Control
 	if bs != nil {
-		stats, _, _, err := e.runBit(t, bs, bw, maxRounds, nw, fs, ctl, opts.Tune)
+		stats, _, _, err := e.runBit(t, bs, bw, maxRounds, nw, fs, ctl)
 		return stats, nil, nil, err
 	}
 	if ws != nil {
-		stats, _, _, err := e.runWord(t, ws, maxRounds, nw, fs, ctl, opts.Tune)
+		stats, _, _, err := e.runWord(t, ws, maxRounds, nw, fs, ctl)
 		return stats, nil, nil, err
 	}
-	return e.runBoxed(t, nodes, maxRounds, nw, fs, ctl, opts.Tune)
+	return e.runBoxed(t, nodes, maxRounds, nw, fs, ctl)
 }
 
 // runBoxed is the boxed-plane loop.
-func (e WorkerPoolEngine) runBoxed(t *Topology, nodes []Node, maxRounds, nw int, fs *faultState, ctl *RunControl, tune Tuning) (Stats, []Message, []Message, error) {
-	pfs := tune.prefetchScalar()
+func (e WorkerPoolEngine) runBoxed(t *Topology, nodes []Node, maxRounds, nw int, fs *faultState, ctl *RunControl) (Stats, []Message, []Message, error) {
 	n := t.N()
 	// Double-buffered flat message arrays sharing the topology's offsets,
 	// allocated once. A node's inbox row is cleared by its owner right after
@@ -250,7 +245,7 @@ func (e WorkerPoolEngine) runBoxed(t *Topology, nodes []Node, maxRounds, nw int,
 							st.errNode = v
 							break
 						}
-						msgs += t.deliverBoxed(next, dead, 0, lo, send, pfs)
+						msgs += t.deliverBoxed(next, dead, 0, lo, send)
 					}
 					for p := range recv {
 						recv[p] = nil
@@ -273,7 +268,7 @@ func (e WorkerPoolEngine) runBoxed(t *Topology, nodes []Node, maxRounds, nw int,
 
 	remaining := n
 	weight := int64(n + arcs)
-	sp := newShardPlan(t, nw, !tune.NoSticky)
+	bounds := make([]int, 0, nw+1)
 	var stats Stats
 	for r := 1; remaining > 0; r++ {
 		if r > maxRounds {
@@ -286,16 +281,12 @@ func (e WorkerPoolEngine) runBoxed(t *Topology, nodes []Node, maxRounds, nw int,
 		}
 		stats.Rounds = r
 		round = r
-		// Carve (or reuse, see shardPlan) the contiguous arc-balanced shards;
-		// clamped sticky bounds can yield empty shards, which are skipped
-		// without disturbing the shard↔worker index alignment.
-		bounds := sp.shards(active, remaining, weight)
+		// Carve the contiguous arc-balanced shards; carveShards never
+		// returns an empty one.
+		bounds = t.carveShards(active, remaining, weight, nw, bounds)
 		launched := len(bounds) - 1
+		barrier.Add(launched)
 		for w := 0; w < launched; w++ {
-			if bounds[w] == bounds[w+1] {
-				continue
-			}
-			barrier.Add(1)
 			work[w] <- shard{bounds[w], bounds[w+1]}
 		}
 		barrier.Wait()
@@ -369,8 +360,7 @@ func (e WorkerPoolEngine) runBoxed(t *Topology, nodes []Node, maxRounds, nw int,
 // right after RoundW consumes them, and rows of newly-terminated nodes are
 // cleared (and their messages uncounted) during compaction, so on a clean
 // finish both returned planes are all-NilWord.
-func (e WorkerPoolEngine) runWord(t *Topology, nodes []WordNode, maxRounds, nw int, fs *faultState, ctl *RunControl, tune Tuning) (Stats, []Word, []Word, error) {
-	pfs := tune.prefetchScalar()
+func (e WorkerPoolEngine) runWord(t *Topology, nodes []WordNode, maxRounds, nw int, fs *faultState, ctl *RunControl) (Stats, []Word, []Word, error) {
 	n := t.N()
 	arcs := len(t.adj)
 	inbox := make([]Word, arcs)
@@ -419,7 +409,7 @@ func (e WorkerPoolEngine) runWord(t *Topology, nodes []WordNode, maxRounds, nw i
 					if nodes[v].RoundW(r, recv, row) {
 						done[v] = true
 					}
-					msgs += t.deliverWords(next, dead, 0, lo, row, pfs)
+					msgs += t.deliverWords(next, dead, 0, lo, row)
 					for p := range recv {
 						recv[p] = NilWord
 					}
@@ -441,7 +431,7 @@ func (e WorkerPoolEngine) runWord(t *Topology, nodes []WordNode, maxRounds, nw i
 
 	remaining := n
 	weight := int64(n + arcs)
-	sp := newShardPlan(t, nw, !tune.NoSticky)
+	bounds := make([]int, 0, nw+1)
 	var stats Stats
 	for r := 1; remaining > 0; r++ {
 		if r > maxRounds {
@@ -453,13 +443,10 @@ func (e WorkerPoolEngine) runWord(t *Topology, nodes []WordNode, maxRounds, nw i
 		}
 		stats.Rounds = r
 		round = r
-		bounds := sp.shards(active, remaining, weight)
+		bounds = t.carveShards(active, remaining, weight, nw, bounds)
 		launched := len(bounds) - 1
+		barrier.Add(launched)
 		for w := 0; w < launched; w++ {
-			if bounds[w] == bounds[w+1] {
-				continue
-			}
-			barrier.Add(1)
 			work[w] <- shard{bounds[w], bounds[w+1]}
 		}
 		barrier.Wait()
@@ -530,7 +517,7 @@ func (e WorkerPoolEngine) runWord(t *Topology, nodes []WordNode, maxRounds, nw i
 // atomic loads. Rows of newly-terminated nodes are popcounted (to uncount
 // their undeliverable messages) and cleared during compaction, so on a
 // clean finish both returned planes are all-zero.
-func (e WorkerPoolEngine) runBit(t *Topology, nodes []BitNode, width, maxRounds, nw int, fs *faultState, ctl *RunControl, tune Tuning) (Stats, bitPlane, bitPlane, error) {
+func (e WorkerPoolEngine) runBit(t *Topology, nodes []BitNode, width, maxRounds, nw int, fs *faultState, ctl *RunControl) (Stats, bitPlane, bitPlane, error) {
 	n := t.N()
 	arcs := len(t.adj)
 	inbox := newBitPlane(arcs, width)
@@ -546,29 +533,7 @@ func (e WorkerPoolEngine) runBit(t *Topology, nodes []BitNode, width, maxRounds,
 	// deliver variable set before each dispatch.
 	dead := deadDeliver{t: t}
 	deliver := t.deliver
-	pfw := tune.prefetchBit()
-	var casters []BitBroadcaster
-	if !tune.NoFuse {
-		casters = asBitCasters(nodes)
-	}
-	// Tiled execution (see tile.go) is planned lazily per block; the planner
-	// and tile state are allocated up front so steady-state rounds stay
-	// zero-alloc even when the residue first shatters mid-run. Faults and
-	// run-control both need the global round barrier, so they disable it.
-	tileR := 0
-	var tiler *bitTiler
-	var ts bitTileState
-	ndCap := 0
-	if b := tune.tileBudget(); b > 0 && fs == nil && ctl == nil {
-		if tr := tune.tileRounds(); tr >= 2 {
-			tileR = tr
-			tiler = newBitTiler(t, b)
-			ndCap = n
-			if b < int64(n) {
-				ndCap = int(b)
-			}
-		}
-	}
+	casters := asBitCasters(nodes)
 
 	workers := make([]poolWorker, nw)
 	work := make([]chan shard, nw)
@@ -611,9 +576,7 @@ func (e WorkerPoolEngine) runBit(t *Topology, nodes []BitNode, width, maxRounds,
 					v := int(active[i])
 					curV = v
 					lo, hi := t.off[v], t.off[v+1]
-					if pfw > 0 {
-						prefetchBitTargets(deliver, next, lo, hi, pfw)
-					}
+					prefetchBitTargets(deliver, next, lo, hi)
 					var fin bool
 					if c := caster(casters, v); c != nil {
 						val, cast, cfin := c.CastB(r, inbox.row(lo, hi))
@@ -635,17 +598,8 @@ func (e WorkerPoolEngine) runBit(t *Topology, nodes []BitNode, width, maxRounds,
 				}
 				st.msgs = msgs
 			}
-			// The sentinel shard{lo: -1} switches the worker into tiled mode
-			// for one block: it claims tiles from the shared cursor and runs
-			// each for the block's rounds (see tile.go). tileDone is the
-			// worker's reusable in-tile retirement buffer.
-			var tileDone []int32
 			for sh := range work[w] {
-				if sh.lo < 0 {
-					tileDone = ts.drainTiles(st, send, tileDone)
-				} else {
-					runShard(sh)
-				}
+				runShard(sh)
 				barrier.Done()
 			}
 		}(w)
@@ -659,7 +613,7 @@ func (e WorkerPoolEngine) runBit(t *Topology, nodes []BitNode, width, maxRounds,
 
 	remaining := n
 	weight := int64(n + arcs)
-	sp := newShardPlan(t, nw, !tune.NoSticky)
+	bounds := make([]int, 0, nw+1)
 	var stats Stats
 	for r := 1; remaining > 0; r++ {
 		if r > maxRounds {
@@ -673,82 +627,10 @@ func (e WorkerPoolEngine) runBit(t *Topology, nodes []BitNode, width, maxRounds,
 		round = r
 		wholesale = clearWholesale(weight, n, arcs)
 		deliver = dead.table()
-		// Tiled block: once the residue is sparse (per-row clearing already
-		// wins) and splits into cache-budget components, run up to tileR
-		// rounds tile-by-tile with no global barrier between them.
-		if tileR >= 2 && !wholesale {
-			blockR := tileR
-			if m := maxRounds - r + 1; blockR > m {
-				blockR = m
-			}
-			if blockR >= 2 && tiler.plan(active, remaining, done) {
-				// Force the delivery-table copy now so concurrent in-tile
-				// kills are race-free (see deadDeliver.materialize).
-				dead.materialize()
-				deliver = dead.table()
-				ts.reset(t, nodes, casters, active, done, &dead, inbox, next, tiler, r, blockR, par, pfw, ndCap)
-				wake := nw
-				if wake > len(tiler.tiles) {
-					wake = len(tiler.tiles)
-				}
-				for w := 0; w < wake; w++ {
-					barrier.Add(1)
-					work[w] <- shard{lo: -1, hi: -1}
-				}
-				barrier.Wait()
-				var firstErr error
-				errNode := -1
-				// executed is the number of global rounds the block stands
-				// for: the max local round any tile reached (a tile stops
-				// early only when all its nodes terminated).
-				executed := 1
-				for w := 0; w < wake; w++ {
-					stats.Messages += workers[w].msgs
-					workers[w].msgs = 0
-					if workers[w].tileExec > executed {
-						executed = workers[w].tileExec
-					}
-					workers[w].tileExec = 0
-					if workers[w].err != nil && (errNode < 0 || workers[w].errNode < errNode) {
-						firstErr = workers[w].err
-						errNode = workers[w].errNode
-					}
-				}
-				stats.Rounds = r + executed - 1
-				if firstErr != nil {
-					return stats, inbox, next, firstErr
-				}
-				// In-tile retirement already uncounted undeliverable rows,
-				// cleared them and killed their arcs; only the active list
-				// and the weight are compacted here.
-				keep := active[:0]
-				for _, v := range active[:remaining] {
-					if !done[v] {
-						keep = append(keep, v)
-						continue
-					}
-					weight -= 1 + int64(t.off[v+1]-t.off[v])
-				}
-				remaining = len(keep)
-				// plan reordered active[], so the cached shard carve no
-				// longer balances; drop it.
-				sp.invalidate()
-				// Tiles swapped their local planes once per local round;
-				// mirror the net parity globally.
-				if executed&1 == 1 {
-					inbox, next = next, inbox
-				}
-				r += executed - 1
-				continue
-			}
-		}
-		bounds := sp.shards(active, remaining, weight)
+		bounds = t.carveShards(active, remaining, weight, nw, bounds)
 		launched := len(bounds) - 1
+		barrier.Add(launched)
 		for w := 0; w < launched; w++ {
-			if bounds[w] == bounds[w+1] {
-				continue
-			}
-			barrier.Add(1)
 			work[w] <- shard{bounds[w], bounds[w+1]}
 		}
 		barrier.Wait()

@@ -36,7 +36,7 @@ func TestWorkerPoolBitClearsTerminatedRows(t *testing.T) {
 		nodes[v] = &bitNoisyHalt{stop: wordNoisyStop(v, long)}
 	}
 	e := WorkerPoolEngine{Workers: 3}
-	stats, inbox, next, err := e.runBit(topo, nodes, 2, defaultMaxRounds, e.workerCount(n), nil, nil, Tuning{})
+	stats, inbox, next, err := e.runBit(topo, nodes, 2, defaultMaxRounds, e.workerCount(n), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -40,7 +40,7 @@ func TestWorkerPoolWordClearsTerminatedRows(t *testing.T) {
 		nodes[v] = &wordNoisyHalt{stop: wordNoisyStop(v, long)}
 	}
 	e := WorkerPoolEngine{Workers: 3}
-	stats, inbox, next, err := e.runWord(topo, nodes, defaultMaxRounds, e.workerCount(n), nil, nil, Tuning{})
+	stats, inbox, next, err := e.runWord(topo, nodes, defaultMaxRounds, e.workerCount(n), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

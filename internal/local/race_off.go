@@ -2,6 +2,6 @@
 
 package local
 
-// raceDetector reports whether this build is race-instrumented; see
-// race_on.go.
-const raceDetector = false
+// scalarPrefetchWindow is the scatter look-ahead of the word and boxed
+// planes; see race_on.go.
+const scalarPrefetchWindow = prefetchWindow

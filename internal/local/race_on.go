@@ -2,9 +2,9 @@
 
 package local
 
-// raceDetector reports whether this build is race-instrumented. The scalar
-// scatter-prefetch windows (see Tuning.prefetchScalar) mix atomic touch
-// loads with the owners' plain stores — benign by construction, but exactly
-// what the detector exists to flag — so they are compiled out of race
-// builds via this constant.
-const raceDetector = true
+// scalarPrefetchWindow is the scatter look-ahead of the word and boxed
+// planes (see prefetchWindow). Their touch loads race with the owners'
+// plain stores — benign by construction, since the loaded values are
+// discarded and aligned 64-bit loads cannot tear, but exactly what the
+// detector exists to flag — so race builds turn the window off.
+const scalarPrefetchWindow = 0

@@ -106,6 +106,7 @@ func TestSubmitRejectsInvalidSpec(t *testing.T) {
 		{Gen: "leftregular", NU: MaxNodes + 1, NV: 4, D: 2, Algos: []string{"det"}},
 		{Gen: "star", D: 8, Algos: []string{"trivial"}, Trials: MaxTrials + 1},
 		{Gen: "star", D: 8, Algos: []string{"trivial"}, TrialTimeoutMS: -1},
+		{Gen: "star", D: 8, Algos: []string{"trivial"}, Retries: MaxRetries + 1},
 	} {
 		if _, err := s.Submit(spec); err == nil {
 			t.Errorf("spec %+v was accepted", spec)

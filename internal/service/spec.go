@@ -22,9 +22,10 @@ import (
 // Limits on a single sweep, protecting the shared server from one
 // pathological spec rather than from load (the queue handles load).
 const (
-	MaxNodes  = 1 << 21 // per side
-	MaxTrials = 1 << 12
-	MaxAlgos  = 16
+	MaxNodes   = 1 << 21 // per side
+	MaxTrials  = 1 << 12
+	MaxAlgos   = 16
+	MaxRetries = 16 // extra attempts per trial; each may run a full TrialTimeoutMS
 )
 
 // SweepSpec is one job's request: build instances from the named generator
@@ -46,8 +47,8 @@ type SweepSpec struct {
 	// TrialTimeoutMS bounds each trial attempt's wall time in milliseconds
 	// (0 = none); an attempt over budget is retried per Retries.
 	TrialTimeoutMS int64 `json:"trial_timeout_ms,omitempty"`
-	// Retries re-runs transient trial failures (deadline expiry, node-program
-	// panic) up to this many extra attempts.
+	// Retries re-runs transient trial failures (deadline expiries) up to
+	// this many extra attempts, at most MaxRetries.
 	Retries int `json:"retries,omitempty"`
 }
 
@@ -81,8 +82,8 @@ func (s *SweepSpec) Validate() error {
 	if s.TrialTimeoutMS < 0 {
 		return fmt.Errorf("service: negative trial timeout %dms", s.TrialTimeoutMS)
 	}
-	if s.Retries < 0 {
-		return fmt.Errorf("service: negative retry count %d", s.Retries)
+	if s.Retries < 0 || s.Retries > MaxRetries {
+		return fmt.Errorf("service: %d retries outside [0, %d]", s.Retries, MaxRetries)
 	}
 	return nil
 }
